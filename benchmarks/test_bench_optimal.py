@@ -12,6 +12,10 @@ deterministic expansion budget and records the numbers in
   drop means the search or its pruning actually regressed.
 * ``optimal/largest`` -- the 60-instruction BDNA block alone, with
   its expansion count (a machine-independent proxy for search work).
+* ``optimal/pareto`` -- the optimality-gap report with its
+  latency-vs-pressure Pareto sweeps over ADM, MG3D, QCD2 and TRACK
+  (the pressure-capped search the ``optimal-gap`` command waits on),
+  with the sweeps' total expansion count.
 
 Every timed run is cross-checked: certified costs must match between
 repeats (the search is deterministic), so a benchmark run doubles as
@@ -31,6 +35,7 @@ import pytest
 
 from repro.analysis import build_dag
 from repro.core.optimal import DEFAULT_NODE_BUDGET, OptimalScheduler
+from repro.experiments.optimalgap import run_optimal_gap
 from repro.workloads.perfect import load_suite
 
 BENCH_PATH = (
@@ -39,6 +44,7 @@ BENCH_PATH = (
 
 REPEATS = 5
 MODELS = (2, 5)
+PARETO_PROGRAMS = ("ADM", "MG3D", "QCD2", "TRACK")
 
 _RECORD: dict = {}
 
@@ -133,4 +139,26 @@ def test_bench_largest_block(benchmark):
         "seconds": seconds,
         "cost": result.cost,
         "expanded": result.expanded,
+    }
+
+
+def test_bench_pareto_sweeps(benchmark):
+    """The Pareto sweeps of four suite programs: pressure-capped solves."""
+
+    def report():
+        return run_optimal_gap(programs=PARETO_PROGRAMS)
+
+    result = benchmark.pedantic(report, rounds=1, iterations=1)
+    expanded = sum(front.expanded for front in result.fronts)
+    assert not any(front.open_end for front in result.fronts)
+
+    seconds = _median_of(report, repeats=3)
+    again = report()
+    assert again.format() == result.format()
+    assert sum(front.expanded for front in again.fronts) == expanded
+    _RECORD["optimal/pareto"] = {
+        "programs": list(PARETO_PROGRAMS),
+        "fronts": len(result.fronts),
+        "seconds": seconds,
+        "expanded": expanded,
     }

@@ -20,7 +20,9 @@ of the dependence DAG and solve it with branch-and-bound:
   predecessors.  States are memoised per bitset with *dominance*
   pruning: a state is cut when a recorded state over the same set had
   no-later ``t`` and componentwise no-later normalised earliest
-  starts (completion cost is monotone in both).
+  starts (completion cost is monotone in both).  The start vector is
+  packed into one int so the comparison is a subtraction
+  (:func:`_key_layout`).
 * **Bounds.**  Lower bound = max of the slot count (single issue: one
   instruction per cycle) and, per unscheduled node, earliest start
   (static longest path from the roots, dynamic starts from issued
@@ -40,6 +42,8 @@ of the dependence DAG and solve it with branch-and-bound:
 A register-pressure cap (``max_live``) turns the same search into the
 ε-constraint solver behind the latency-vs-pressure Pareto front: only
 orders whose live-register count never exceeds the cap are enumerated.
+The live set is tracked as a bitmask over dense per-block register ids
+(:class:`_PressureState`).
 
 Everything here is stdlib-only and independent of the list scheduler's
 selection machinery; every schedule it emits is a topological order of
@@ -79,6 +83,36 @@ DEFAULT_NODE_BUDGET = 250_000
 _MEMO_WIDTH = 12
 
 _INF = float("inf")
+
+
+def _key_layout(max_latency: int, n: int) -> Tuple[int, int]:
+    """Field width and guard mask of the packed dominance keys.
+
+    A key holds one field per node, node ``v`` at bit ``width * v``,
+    with the node's pending start ``est - t`` (zero once it has
+    started or issued).  A pending start is below ``max_latency`` --
+    ``est`` is an issued predecessor's slot, before ``t``, plus its
+    latency -- so it fits under the field's top bit, the guard.
+    """
+    width = max_latency.bit_length() + 1
+    guards = 0
+    for _ in range(n):
+        guards = (guards << width) | (1 << (width - 1))
+    return width, guards
+
+
+def _dominated(
+    entries: Sequence[Tuple[int, int]], t: int, key: int, guards: int
+) -> bool:
+    """Whether a recorded ``(t0, key0)`` has ``t0 <= t`` and every
+    field of ``key0`` no larger than ``key``'s.  Setting the guards
+    and subtracting clears a field's guard exactly when that field of
+    ``key0`` is the larger, and never borrows across fields."""
+    guarded = key | guards
+    for t0, key0 in entries:
+        if t0 <= t and (guarded - key0) & guards == guards:
+            return True
+    return False
 
 
 class InfeasiblePressureError(ValueError):
@@ -172,67 +206,75 @@ def max_live_registers(
 
 
 class _PressureState:
-    """Incremental live-set bookkeeping with O(changes) undo."""
+    """Incremental live-set bookkeeping on dense register ids.
 
-    __slots__ = ("_uses_left", "_live_out", "_live", "_node_uses", "_node_defs")
+    Every register an instruction of the block reads or writes gets an
+    id 0..R-1 once, at construction, so the live set is one int bitmask
+    and ``uses_left`` a list: :meth:`apply` and :meth:`undo` never hash
+    a register.  Registers live into and out of the block that no
+    instruction touches stay live throughout and are counted as a
+    constant.
+    """
+
+    __slots__ = (
+        "live", "untouched", "_uses_left", "_node_uses", "_node_defs", "_clear"
+    )
 
     def __init__(self, dag: CodeDAG, live_in: Sequence, live_out: Sequence):
-        uses_left: Dict[object, int] = {}
-        node_uses: List[Tuple] = []
-        node_defs: List[Tuple] = []
-        for inst in dag.instructions:
-            uses = tuple(set(inst.all_uses()))
-            node_uses.append(uses)
-            node_defs.append(tuple(inst.defs))
-            for reg in uses:
-                uses_left[reg] = uses_left.get(reg, 0) + 1
+        ids: Dict[object, int] = {}
+
+        def dense(regs) -> Tuple[int, ...]:
+            return tuple(ids.setdefault(reg, len(ids)) for reg in regs)
+
+        insts = dag.instructions
+        self._node_uses = [dense(set(inst.all_uses())) for inst in insts]
+        node_defs = [dense(inst.defs) for inst in insts]
+        uses_left = [0] * len(ids)
+        for uses in self._node_uses:
+            for r in uses:
+                uses_left[r] += 1
         self._uses_left = uses_left
-        self._live_out = frozenset(live_out)
-        self._node_uses = node_uses
-        self._node_defs = node_defs
-        live = set()
-        for reg in live_in:
-            if uses_left.get(reg, 0) > 0 or reg in self._live_out:
-                live.add(reg)
-        self._live = live
+        live_out = set(live_out)
+        out = [reg in live_out for reg in ids]  # indexed by id
+        self.live = sum(
+            1 << ids[reg] for reg in set(live_in)
+            if reg in ids and (uses_left[ids[reg]] or out[ids[reg]])
+        )
+        # A def makes its register live while it still has a use left,
+        # or for good when it is live out: pinned defs carry the bit.
+        self._node_defs = [
+            tuple((r, 1 << r, out[r]) for r in defs) for defs in node_defs
+        ]
+        # A last use frees a register unless it is live out.
+        self._clear = [-1 if o else ~(1 << r) for r, o in enumerate(out)]
+        self.untouched = len(
+            {reg for reg in live_in if reg not in ids and reg in live_out}
+        )
 
     @property
     def live_count(self) -> int:
-        return len(self._live)
+        return self.live.bit_count() + self.untouched
 
-    def apply(self, node: int) -> List[Tuple]:
-        """Issue ``node``; returns an undo log for :meth:`undo`."""
-        log: List[Tuple] = []
+    def apply(self, node: int) -> int:
+        """Issue ``node``; returns the previous live mask for :meth:`undo`."""
+        saved = live = self.live
         uses_left = self._uses_left
-        live = self._live
-        live_out = self._live_out
-        for reg in self._node_uses[node]:
-            uses_left[reg] -= 1
-            log.append(("use", reg))
-            if uses_left[reg] == 0 and reg in live and reg not in live_out:
-                live.discard(reg)
-                log.append(("unlive", reg))
-        for reg in self._node_defs[node]:
-            was_live = reg in live
-            needed = uses_left.get(reg, 0) > 0 or reg in live_out
-            if needed and not was_live:
-                live.add(reg)
-                log.append(("live", reg))
-            elif not needed and was_live:
-                live.discard(reg)
-                log.append(("unlive", reg))
-        return log
+        clear = self._clear
+        for r in self._node_uses[node]:
+            uses_left[r] -= 1
+            if not uses_left[r]:
+                live &= clear[r]
+        for r, bit, pinned in self._node_defs[node]:
+            if pinned or uses_left[r]:
+                live |= bit
+        self.live = live
+        return saved
 
-    def undo(self, log: List[Tuple]) -> None:
+    def undo(self, node: int, saved: int) -> None:
         uses_left = self._uses_left
-        live = self._live
-        for op, reg in reversed(log):
-            if op == "use":
-                uses_left[reg] += 1
-            elif op == "live":
-                live.discard(reg)
-            else:  # "unlive"
-                live.add(reg)
+        for r in self._node_uses[node]:
+            uses_left[r] += 1
+        self.live = saved
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +352,8 @@ def optimize_order(
             d = base + (lat[v] if kind.carries_latency else 1)
             if d > head[s]:
                 head[s] = d
-    root_lb = max(n, max(head[v] + down[v] for v in range(n)))
+    hd = [head[v] + down[v] for v in range(n)]
+    root_lb = max(n, max(hd))
 
     pressure = (
         _PressureState(dag, live_in, live_out) if max_live is not None else None
@@ -339,11 +382,21 @@ def optimize_order(
         )
 
     ready_preds = [len(dag.predecessors(v)) for v in range(n)]
+    rank = max(down) + 1  # candidate order: earliest start, then longest path
+    if pressure is not None:
+        live_cap = max_live - pressure.untouched
     est = [0] * n
     scheduled = bytearray(n)
     order_stack: List[int] = []
-    memo: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+    memo: Dict[int, List[Tuple[int, int]]] = {}
     full_mask = (1 << n) - 1
+    width, guards = _key_layout(max(lat), n)
+    # The bound's static terms, max(head + down) and t + max(down) over
+    # the unscheduled set, come from the first unscheduled node in
+    # these orders; only `hot` nodes (raised est) need a per-node look.
+    by_down = sorted(range(n), key=lambda v: -down[v])
+    by_hd = sorted(range(n), key=lambda v: -hd[v])
+    hot: List[int] = []
     deadline = (
         _time.monotonic() + time_budget_s if time_budget_s is not None else None
     )
@@ -370,42 +423,47 @@ def optimize_order(
             aborted[0] = True
             return
 
-        # One pass over the unscheduled set: lower bound + memo key.
-        remaining = n - len(order_stack)
-        lb = t + remaining
-        rel: List[int] = []
-        for v in range(n):
+        # Lower bound: slot count, and per unscheduled node its start
+        # max(est, t, head) plus its path to a leaf.  The memo key packs
+        # est - t of the nodes whose start is still pending.
+        lb = t + n - len(order_stack)
+        for v in by_down:
+            if not scheduled[v]:
+                if t + down[v] > lb:
+                    lb = t + down[v]
+                break
+        for v in by_hd:
+            if not scheduled[v]:
+                if hd[v] > lb:
+                    lb = hd[v]
+                break
+        key = 0
+        for v in hot:
             if scheduled[v]:
                 continue
             e = est[v]
-            start = e if e > t else t
-            h = head[v]
-            if h > start:
-                start = h
-            b = start + down[v]
-            if b > lb:
-                lb = b
-            rel.append(e - t if e > t else 0)
+            if e > t:
+                key |= (e - t) << (width * v)
+                if e + down[v] > lb:
+                    lb = e + down[v]
         if lb >= best_cost:
             return
-        key = tuple(rel)
         entries = memo.get(mask)
         if entries is None:
             memo[mask] = [(t, key)]
         else:
-            for t0, rel0 in entries:
-                if t0 <= t and all(a <= b for a, b in zip(rel0, key)):
-                    stats["memo_hits"] += 1
-                    return
+            if _dominated(entries, t, key, guards):
+                stats["memo_hits"] += 1
+                return
             entries.append((t, key))
             if len(entries) > _MEMO_WIDTH:
                 entries.pop(0)
 
-        candidates = [
-            v for v in range(n) if not scheduled[v] and ready_preds[v] == 0
-        ]
+        # Issued nodes hold a nonzero ready count, so a zero marks a
+        # candidate; the stable sort keeps index order among ties.
+        candidates = [v for v, r in enumerate(ready_preds) if not r]
         candidates.sort(
-            key=lambda v: ((est[v] if est[v] > t else t), -down[v], v)
+            key=lambda v: (est[v] if est[v] > t else t) * rank - down[v]
         )
         seen_sigs = set() if pressure is None else None
         for v in candidates:
@@ -416,16 +474,19 @@ def optimize_order(
                     continue  # interchangeable with an expanded sibling
                 seen_sigs.add(sig)
             if pressure is not None:
-                log = pressure.apply(v)
-                if pressure.live_count > max_live:
-                    pressure.undo(log)
+                saved = pressure.apply(v)
+                if pressure.live.bit_count() > live_cap:
+                    pressure.undo(v, saved)
                     continue
             scheduled[v] = 1
+            ready_preds[v] = 1
             order_stack.append(v)
             completion = start + lat[v]
             est_undo: List[Tuple[int, int]] = []
             for s in true_succs[v]:
                 if completion > est[s]:
+                    if not est[s]:
+                        hot.append(s)
                     est_undo.append((s, est[s]))
                     est[s] = completion
             for s in all_succs[v]:
@@ -434,11 +495,14 @@ def optimize_order(
             for s in all_succs[v]:
                 ready_preds[s] += 1
             for s, old in est_undo:
+                if not old:
+                    hot.pop()
                 est[s] = old
             order_stack.pop()
+            ready_preds[v] = 0
             scheduled[v] = 0
             if pressure is not None:
-                pressure.undo(log)
+                pressure.undo(v, saved)
             if aborted[0]:
                 return
 

@@ -93,13 +93,21 @@ class ParetoPoint:
 
 @dataclass(frozen=True)
 class ParetoFront:
-    """ε-constraint sweep for one block (pessimistic model)."""
+    """ε-constraint sweep for one block (pessimistic model).
+
+    ``open_end`` means the sweep stopped because the budget ran out
+    before any schedule fit the next cap, not because that cap was
+    proven infeasible: lower-pressure points may exist.  ``expanded``
+    totals the search expansions of every solve in the sweep.
+    """
 
     program: str
     block: str
     instructions: int
     load_latency: int
     points: Tuple[ParetoPoint, ...]
+    open_end: bool = False
+    expanded: int = 0
 
 
 @dataclass
@@ -174,27 +182,40 @@ class OptimalGapReport:
                 "(peak live registers -> optimal cycles)"
             )
             for front in self.fronts:
-                points = "  ".join(
+                tokens = [
                     f"({p.max_live} -> {p.cost}{'' if p.certified else '*'})"
                     for p in front.points
-                )
+                ]
+                if front.open_end:  # the cap after the last point
+                    last = front.points[-1:]
+                    cap = last[0].max_live - 1 if last else "any"
+                    tokens.append(f"({cap} -> ?)")
                 label = f"{front.program}/{front.block}"
-                lines.append(f"    {label:18s} {points}")
+                lines.append(f"    {label:18s} {'  '.join(tokens)}")
             if any(not p.certified for f in self.fronts for p in f.points):
                 lines.append("    (* = best-effort, budget exhausted)")
+            if any(f.open_end for f in self.fronts):
+                lines.append(
+                    "    (? = open end: budget exhausted before any "
+                    "schedule fit this cap)"
+                )
         return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
 def _pareto_front(
-    dag, block, load_latency: int, node_budget: int
-) -> Tuple[ParetoPoint, ...]:
+    program: str, block, dag, load_latency: int, node_budget: int
+) -> ParetoFront:
     """ε-constraint sweep: solve unconstrained, then repeatedly demand
     one register less than the last schedule actually used, until no
     schedule fits.  Each solve minimises cycles under the cap, so the
-    collected (pressure, cycles) pairs trace the exact trade-off."""
+    collected (pressure, cycles) pairs trace the exact trade-off.  A
+    last solve that ran out of budget before any schedule fit its cap
+    leaves the front open."""
     points: List[ParetoPoint] = []
     cap: Optional[int] = None
+    open_end = False
+    expanded = 0
     while True:
         search = optimize_order(
             dag,
@@ -204,7 +225,9 @@ def _pareto_front(
             live_out=block.live_out,
             node_budget=node_budget,
         )
+        expanded += search.expanded
         if not search.feasible or not search.order:
+            open_end = not search.certified
             break
         achieved = max_live_registers(
             dag, search.order, block.live_in, block.live_out
@@ -220,7 +243,15 @@ def _pareto_front(
         if front and p.cost <= front[-1].cost:
             front.pop()
         front.append(p)
-    return tuple(front)
+    return ParetoFront(
+        program=program,
+        block=block.name,
+        instructions=len(block.instructions),
+        load_latency=load_latency,
+        points=tuple(front),
+        open_end=open_end,
+        expanded=expanded,
+    )
 
 
 def run_optimal_gap(
@@ -274,15 +305,7 @@ def run_optimal_gap(
             if pareto:
                 _, pess_latency = MODELS[-1]
                 fronts.append(
-                    ParetoFront(
-                        program=name,
-                        block=block.name,
-                        instructions=len(block.instructions),
-                        load_latency=pess_latency,
-                        points=_pareto_front(
-                            dag, block, pess_latency, node_budget
-                        ),
-                    )
+                    _pareto_front(name, block, dag, pess_latency, node_budget)
                 )
     # Model-major presentation: all optimistic rows, then pessimistic.
     rows.sort(key=lambda r: ([m for m, _w in MODELS].index(r.model),))

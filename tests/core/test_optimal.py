@@ -10,7 +10,11 @@ The load-bearing checks:
 * best-effort results (budget exhausted) stay inside the certificate:
   lower bound <= cost <= the balanced seed's cost;
 * the policy wrapper behaves like any other :class:`SchedulingPolicy`
-  (legal orders, permutation-clean blocks, integer-latency guard).
+  (legal orders, permutation-clean blocks, integer-latency guard);
+* the search's compact representations agree with their plain
+  counterparts: packed dominance keys with componentwise tuple
+  comparison, the dense-id live mask with a direct recount, and whole
+  ε-constraint Pareto fronts with the brute-force front.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import build_dag
 from repro.core import (
@@ -30,6 +36,14 @@ from repro.core import (
     optimize_order,
     schedule_cost,
 )
+from repro.core.optimal import (
+    DEFAULT_NODE_BUDGET,
+    _dominated,
+    _key_layout,
+    _PressureState,
+)
+from repro.experiments.optimalgap import OptimalGapReport, _pareto_front
+from repro.ir.operands import RegClass, VirtualReg
 from repro.simulate.simulator import UNLIMITED, simulate_block
 from repro.verify.oracle import check_schedule
 from repro.workloads import figure1_block, random_block
@@ -73,6 +87,26 @@ def all_topological_orders(dag, limit: int = 200_000):
     if len(orders) == limit:
         return None  # too many orders to enumerate; caller skips
     return orders
+
+
+def direct_live_count(block, issued) -> int:
+    """Registers live after ``issued``, recounted from the definition:
+    defined (or live in) and still read by an unissued instruction, or
+    live out."""
+    uses_left = {}
+    for inst in block.instructions:
+        for reg in set(inst.all_uses()):
+            uses_left[reg] = uses_left.get(reg, 0) + 1
+    defined = set(block.live_in)
+    for v in issued:
+        inst = block.instructions[v]
+        for reg in set(inst.all_uses()):
+            uses_left[reg] -= 1
+        defined.update(inst.defs)
+    live_out = set(block.live_out)
+    return len([
+        r for r in defined if uses_left.get(r, 0) > 0 or r in live_out
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -177,29 +211,50 @@ class TestCostModel:
         for block in small_random_blocks(seed=9305, count=10):
             dag = build_dag(block)
             order = BalancedScheduler().schedule_dag(dag, block).order
-            uses_left = {}
-            for inst in block.instructions:
-                for reg in set(inst.all_uses()):
-                    uses_left[reg] = uses_left.get(reg, 0) + 1
-            live_out = set(block.live_out)
-            defined = set(block.live_in)
-            peak = len([
-                r for r in defined
-                if uses_left.get(r, 0) > 0 or r in live_out
-            ])
-            for v in order:
-                inst = block.instructions[v]
-                for reg in set(inst.all_uses()):
-                    uses_left[reg] -= 1
-                defined.update(inst.defs)
-                live = [
-                    r for r in defined
-                    if uses_left.get(r, 0) > 0 or r in live_out
-                ]
-                peak = max(peak, len(live))
+            peak = max(
+                direct_live_count(block, order[:k])
+                for k in range(len(order) + 1)
+            )
             assert max_live_registers(
                 dag, order, block.live_in, block.live_out
             ) == peak
+
+    def test_live_count_tracks_every_apply_and_undo(self):
+        """Walk each order as the search does -- try every ready node
+        (apply, then undo), then issue the order's next node -- and
+        recount after every step.  The blocks carry registers live in
+        and out that no instruction touches, live-in registers that
+        are also live out and read, and loads whose value is never
+        used."""
+        for index, block in enumerate(
+            small_random_blocks(seed=9306, count=12)
+        ):
+            untouched = [VirtualReg(10_000 + i, RegClass.FP) for i in range(3)]
+            block.live_in.extend([untouched[0], untouched[1]])
+            block.live_out.extend([untouched[0], untouched[2]])
+            block.live_out.append(block.live_in[index % len(block.live_in)])
+            dag = build_dag(block)
+            state = _PressureState(dag, block.live_in, block.live_out)
+            order = BalancedScheduler().schedule_dag(dag, block).order
+            issued = []
+            assert state.live_count == direct_live_count(block, issued)
+            for v in order:
+                for w in range(len(dag)):
+                    if w in issued or any(
+                        p not in issued for p in dag.predecessors(w)
+                    ):
+                        continue
+                    saved = state.apply(w)
+                    assert state.live_count == direct_live_count(
+                        block, issued + [w]
+                    )
+                    state.undo(w, saved)
+                    assert state.live_count == direct_live_count(
+                        block, issued
+                    )
+                state.apply(v)
+                issued.append(v)
+                assert state.live_count == direct_live_count(block, issued)
 
 
 # ----------------------------------------------------------------------
@@ -287,3 +342,106 @@ class TestOptimalScheduler:
         assert result.order == []
         assert result.cost == 0
         assert result.certified
+
+
+# ----------------------------------------------------------------------
+# Packed dominance keys
+# ----------------------------------------------------------------------
+@st.composite
+def key_cases(draw):
+    """Latencies, then recorded and probe vectors of pending starts
+    (each below the largest latency); probes are often drawn by raising
+    a recorded vector so the dominated case is common."""
+    latencies = draw(st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    top = max(latencies) - 1
+    n = draw(st.integers(1, 16))
+    vector = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    recorded = draw(st.lists(
+        st.tuples(st.integers(0, 3), vector), min_size=1, max_size=4
+    ))
+    t = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        base = recorded[draw(st.integers(0, len(recorded) - 1))][1]
+        bumps = draw(st.lists(
+            st.integers(-1, top), min_size=n, max_size=n
+        ))
+        probe = [min(top, max(0, a + b)) for a, b in zip(base, bumps)]
+    else:
+        probe = draw(vector)
+    return max(latencies), recorded, t, probe
+
+
+class TestPackedKeys:
+    @settings(max_examples=400, deadline=None)
+    @given(key_cases())
+    def test_packed_dominance_is_componentwise_comparison(self, case):
+        max_latency, recorded, t, probe = case
+        width, guards = _key_layout(max_latency, len(probe))
+
+        def pack(rel):
+            return sum(r << (width * v) for v, r in enumerate(rel))
+
+        entries = [(t0, pack(rel0)) for t0, rel0 in recorded]
+        expected = any(
+            t0 <= t and all(a <= b for a, b in zip(rel0, probe))
+            for t0, rel0 in recorded
+        )
+        assert _dominated(entries, t, pack(probe), guards) == expected
+
+
+# ----------------------------------------------------------------------
+# Whole Pareto fronts
+# ----------------------------------------------------------------------
+def brute_force_front(dag, block, latency):
+    """Non-dominated (peak live, cycles) pairs over every order,
+    pressure descending."""
+    pairs = {
+        (
+            max_live_registers(dag, o, block.live_in, block.live_out),
+            schedule_cost(dag, o, latency),
+        )
+        for o in all_topological_orders(dag)
+    }
+    front = [
+        (p, c) for p, c in pairs
+        if not any(
+            (p2 <= p and c2 <= c) and (p2, c2) != (p, c) for p2, c2 in pairs
+        )
+    ]
+    return sorted(front, reverse=True)
+
+
+class TestParetoFront:
+    def test_fronts_equal_the_brute_force_front(self):
+        checked = 0
+        for block in small_random_blocks(seed=9307, count=14, max_n=8):
+            dag = build_dag(block)
+            if all_topological_orders(dag) is None:
+                continue
+            front = _pareto_front("RAND", block, dag, 5, DEFAULT_NODE_BUDGET)
+            assert not front.open_end
+            assert all(p.certified for p in front.points)
+            assert [(p.max_live, p.cost) for p in front.points] == (
+                brute_force_front(dag, block, 5)
+            )
+            checked += 1
+        assert checked >= 10
+
+    def test_budget_exhaustion_leaves_the_front_open(self):
+        """At a small budget the sweep's last solve runs out before any
+        schedule fits its cap.  That is not a proof that the cap is
+        infeasible, so the front must say it ended open -- even though
+        every point it did find is certified."""
+        block = random_block(np.random.default_rng(4), n_instructions=14)
+        dag = build_dag(block)
+        full = _pareto_front("RAND", block, dag, 5, DEFAULT_NODE_BUDGET)
+        front = _pareto_front("RAND", block, dag, 5, 200)
+        assert not full.open_end
+        assert front.open_end
+        assert front.points == full.points
+        assert all(p.certified for p in front.points)
+
+        text = OptimalGapReport(rows=[], fronts=[front]).format()
+        assert f"({front.points[-1].max_live - 1} -> ?)" in text
+        assert "? = open end" in text
+        assert "?" not in OptimalGapReport(rows=[], fronts=[full]).format()
