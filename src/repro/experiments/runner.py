@@ -494,8 +494,9 @@ def _profile_report(metrics: MetricsRegistry, top: int = 10) -> str:
     )
     if skipped:
         lines.append(
-            f"note: {int(skipped):,} run(s) on multi-issue or blocking "
-            "processors are counted but not attributed per load"
+            f"note: {int(skipped):,} run(s) on multi-issue or "
+            "delay-tracking processors are counted but not attributed "
+            "per load"
         )
     if not lines:
         lines.append("(no scheduler/simulator metrics recorded)")

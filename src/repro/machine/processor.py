@@ -46,7 +46,9 @@ class ProcessorModel:
     introduction contrasts against: the processor stalls at every load
     until its data returns, so no instruction ever overlaps a memory
     access and instruction scheduling cannot hide latency at all.  All
-    of the paper's machines are non-blocking (the default).
+    of the paper's machines are non-blocking (the default).  It is a
+    single-issue model: ``blocking_loads`` with ``issue_width`` > 1 is
+    rejected.
     """
 
     name: str
@@ -65,6 +67,11 @@ class ProcessorModel:
             raise ValueError("max_load_cycles must be >= 1")
         if self.load_delay_tracking is not None and self.load_delay_tracking < 0:
             raise ValueError("load_delay_tracking must be >= 0")
+        if self.blocking_loads and self.issue_width > 1:
+            raise ValueError(
+                f"processor {self.name}: blocking loads are modelled at "
+                f"issue width 1 only, not {self.issue_width}"
+            )
 
     def __str__(self) -> str:
         return self.name
@@ -111,12 +118,16 @@ def model_family(processor: ProcessorModel) -> str:
 
 
 def superscalar(width: int, base: ProcessorModel = UNLIMITED) -> ProcessorModel:
-    """A ``width``-issue variant of ``base`` (Section 6 extension)."""
+    """A ``width``-issue variant of ``base`` (Section 6 extension).
+
+    Raises :class:`ValueError` for a blocking ``base`` at ``width`` > 1.
+    """
     return ProcessorModel(
         name=f"{base.name}x{width}",
         max_outstanding_loads=base.max_outstanding_loads,
         max_load_cycles=base.max_load_cycles,
         issue_width=width,
+        blocking_loads=base.blocking_loads,
         load_delay_tracking=base.load_delay_tracking,
     )
 

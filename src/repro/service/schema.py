@@ -271,11 +271,10 @@ def parse_simulate(payload: object) -> SimulateRequest:
     processor = _get_str(payload, "processor", "unlimited")
     try:
         parse_processor(processor)
-    except ValueError:
+    except ValueError as exc:
         raise RequestError(
-            f"unknown processor {processor!r}; choose from "
-            f"{sorted(PROCESSORS)} or a spec like 'len8x2+dt4' "
-            f"(<base>[x<width>][+dt<table>])"
+            f"{exc}; choose from {sorted(PROCESSORS)} or a spec like "
+            f"'len8x2+dt4' (<base>[x<width>][+dt<table>])"
         ) from None
     latency = _get_number(payload, "optimistic_latency", 2)
     if not 0 < latency <= 1000:

@@ -39,11 +39,7 @@ import numpy as np
 from ..ir.instructions import Instruction, Opcode
 from ..machine.processor import ProcessorModel, UNLIMITED
 from ..obs import recorder as _obs
-from .simulator import (
-    LatencyOverrunError,
-    conflict_successors,
-    warn_blocking_ignored,
-)
+from .simulator import LatencyOverrunError, conflict_successors
 
 
 @dataclass(frozen=True)
@@ -343,7 +339,8 @@ def _superscalar_kernel(
 ) -> BatchSimResult:
     """The ``issue_width > 1`` recurrence (Section 6 extension).
 
-    Mirrors the scalar ``_simulate_superscalar`` cycle for cycle.  Per
+    Mirrors the scalar :func:`~repro.simulate.simulator.simulate_in_order`
+    cycle for cycle.  Per
     run the state is the current issue cycle, the number of slots
     already consumed in that cycle's issue group, and the count of
     *busy* cycles (cycles in which at least one instruction issued).
@@ -353,17 +350,11 @@ def _superscalar_kernel(
     the same ``(runs,)`` vector machinery as the single-issue kernel.
     Whenever the issue time moves past the current cycle a fresh group
     opens there; interlocks are whole cycles in which nothing issued,
-    so ``interlock = total_cycles - busy_cycles``.
-
-    Like the scalar superscalar path, ``blocking_loads`` is ignored at
-    ``issue_width > 1`` (no such model exists in the paper or the
-    suite) -- loudly, via :func:`~repro.simulate.simulator.
-    warn_blocking_ignored`; exact scalar/batch agreement is what the
-    fuzz harness pins, for blocking configurations too.
+    so ``interlock = total_cycles - busy_cycles``.  ``blocking_loads``
+    never reaches this kernel: :class:`ProcessorModel` rejects it at
+    width > 1.
     """
     width = processor.issue_width
-    if processor.blocking_loads:
-        warn_blocking_ignored(processor, runs)
     reg_ready = np.zeros((n_regs, runs), dtype=np.int64)
     cycle = np.zeros(runs, dtype=np.int64)
     slots_used = np.zeros(runs, dtype=np.int64)
@@ -510,9 +501,7 @@ def _delaytrack_kernel(
     table = processor.load_delay_tracking or 0
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
-    blocking = processor.blocking_loads and width == 1
-    if processor.blocking_loads and width > 1:
-        warn_blocking_ignored(processor, runs)
+    blocking = processor.blocking_loads
 
     n = len(steps)
     if n == 0:

@@ -134,9 +134,10 @@ def _record_simulation_metrics(
     :func:`trace_block` (which knows which register each stall waited
     on and who wrote it) and cross-checks totals against the batch
     result, so an attribution that disagrees with the reported numbers
-    is an error, never a silent skew.  ``trace_block`` models the
-    paper's single-issue non-blocking processors only; for others the
-    skip is counted, not hidden.
+    is an error, never a silent skew.  ``trace_block`` models
+    single-issue in-order processors only; for multi-issue and
+    delay-tracking ones the skip is counted, not hidden.  A blocking
+    load's hold is charged to that load.
     """
     metrics = rec.metrics
     ctx = rec.context()
@@ -167,7 +168,6 @@ def _record_simulation_metrics(
 
     if (
         processor.issue_width != 1
-        or processor.blocking_loads
         or processor.load_delay_tracking is not None
     ):
         # The official numbers above still come from the (vectorized)
@@ -177,10 +177,8 @@ def _record_simulation_metrics(
         # replay attribution does not describe it even at width 1.
         if processor.load_delay_tracking is not None:
             reason = "delay-tracking"
-        elif processor.issue_width != 1:
-            reason = "multi-issue"
         else:
-            reason = "blocking-loads"
+            reason = "multi-issue"
         metrics.inc(
             "sim.attribution_skipped", runs,
             processor=processor.name, reason=reason, **labels,
@@ -202,6 +200,11 @@ def _record_simulation_metrics(
                 f"{int(result.interlocks[run])}"
             )
         for entry in trace.entries:
+            if entry.hold:
+                metrics.observe(
+                    "sim.load_stall_cycles", entry.hold,
+                    load=entry.index, **labels,
+                )
             if not entry.stall:
                 continue
             if (

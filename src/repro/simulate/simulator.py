@@ -24,8 +24,8 @@ later block costs nothing, identically for both schedulers.
 
 from __future__ import annotations
 
+import enum
 import heapq
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,7 +37,6 @@ from ..ir.instructions import Instruction, Opcode
 from ..ir.operands import Register
 from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel, UNLIMITED
-from ..obs import recorder as _obs
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,16 @@ def _validate_latencies(
     return n_loads
 
 
+class StallReason(enum.Enum):
+    """Why an instruction issued later than its earliest free slot."""
+
+    NONE = "none"
+    OPERAND = "operand"        # waiting for a source register
+    LOAD_SLOTS = "load-slots"  # MAX-n: too many outstanding loads
+    FREEZE = "freeze"          # LEN-n: processor frozen by a long load
+    BLOCKING = "blocking"      # a blocking load held issue (its hold)
+
+
 def simulate_block(
     instructions: Sequence[Instruction],
     latencies: Sequence[int],
@@ -99,69 +108,115 @@ def simulate_block(
     order (pre-drawing them lets callers vectorise the sampling across
     the 30 runs of an experiment).
     """
-    _validate_latencies(instructions, latencies)
     if processor.load_delay_tracking is not None:
+        _validate_latencies(instructions, latencies)
         return _simulate_delaytrack(instructions, latencies, processor)
-    if processor.issue_width > 1:
-        return _simulate_superscalar(instructions, latencies, processor)
+    return simulate_in_order(instructions, latencies, processor)
 
+
+def simulate_in_order(
+    instructions: Sequence[Instruction],
+    latencies: Sequence[int],
+    processor: ProcessorModel = UNLIMITED,
+    record: Optional[List[tuple]] = None,
+) -> BlockSimResult:
+    """The in-order interlocked engine, at any issue width.
+
+    Up to ``issue_width`` instructions issue per cycle, in program
+    order; a stalled instruction stalls everything behind it.  A load
+    on blocking hardware (width 1 only -- :class:`ProcessorModel`
+    rejects anything wider) holds issue until its data returns.
+    Interlock cycles are the cycles in which nothing issued, so at
+    width 1 ``cycles == instructions + interlock_cycles``.
+
+    ``record``, when given, receives one tuple per executed instruction,
+    ``(index, issue, completion, stall, reason, waited_on, writer,
+    hold)``: ``stall`` cycles lost before issue for ``reason``
+    (:class:`StallReason`), the register waited on and the index of the
+    instruction that wrote it (operand stalls only), and ``hold``, the
+    cycles a blocking load kept the processor frozen after issue.  At
+    width 1 the stalls and holds sum to ``interlock_cycles``.
+    """
+    _validate_latencies(instructions, latencies)
+    width = processor.issue_width
+    max_out = processor.max_outstanding_loads
+    limit = processor.max_load_cycles
+    blocking = processor.blocking_loads
     reg_ready: Dict[Register, int] = {}
+    reg_writer: Dict[Register, int] = {}
     outstanding: List[int] = []  # completion times (MAX-n bookkeeping)
-    windows: List[Tuple[int, int]] = []  # LEN-n blocking windows
+    windows: List[Tuple[int, int]] = []  # LEN-n freeze windows
     load_index = 0
-    next_free = 0
-    interlock = 0
+    cycle = -1       # cycle of the current issue group
+    slots = width    # instructions issued in it (full: next group opens)
+    busy = 0         # cycles in which something issued
     issued = 0
 
-    for inst in instructions:
+    for index, inst in enumerate(instructions):
         if inst.opcode is Opcode.NOP:
             continue  # virtual no-ops never execute (hardware interlocks)
 
-        t = next_free
+        earliest = cycle + 1 if slots >= width else cycle
+        t = earliest
+        reason = StallReason.NONE
+        waited_on: Optional[Register] = None
         for reg in inst.all_uses():
             ready = reg_ready.get(reg, 0)
             if ready > t:
                 t = ready
+                waited_on = reg
+                reason = StallReason.OPERAND
 
-        if inst.is_load:
+        is_load = inst.is_load
+        if is_load:
             latency = int(latencies[load_index])
             load_index += 1
-
-            if processor.max_outstanding_loads is not None:
-                t = _wait_for_load_slot(
-                    outstanding, t, processor.max_outstanding_loads
-                )
+            if max_out is not None:
+                slot = _wait_for_load_slot(outstanding, t, max_out)
+                if slot > t:
+                    t, reason, waited_on = slot, StallReason.LOAD_SLOTS, None
         else:
             latency = inst.latency
 
-        if processor.max_load_cycles is not None:
-            t = _apply_blocking_windows(windows, t)
+        if limit is not None:
+            thawed = _apply_blocking_windows(windows, t)
+            if thawed > t:
+                t, reason, waited_on = thawed, StallReason.FREEZE, None
 
-        interlock += t - next_free
+        if t > cycle:
+            cycle, slots = t, 0
+            busy += 1
+        slots += 1
         issued += 1
         completion = t + latency
 
-        if inst.is_load:
-            if processor.max_outstanding_loads is not None:
+        if is_load:
+            if max_out is not None:
                 heapq.heappush(outstanding, completion)
-            if (
-                processor.max_load_cycles is not None
-                and latency > processor.max_load_cycles
-            ):
-                windows.append((t + processor.max_load_cycles, completion))
+            if limit is not None and latency > limit:
+                windows.append((t + limit, completion))
 
+        hold = 0
+        if is_load and blocking:
+            # Conventional hardware: stall until the data returns.
+            hold = completion - (t + 1)
+            cycle, slots = completion - 1, width
+        if record is not None:
+            # The writer lookup precedes this instruction's own defs
+            # (e.g. ``r1 = r1 + 1``).
+            writer = reg_writer.get(waited_on) if waited_on is not None else None
+            record.append(
+                (index, t, completion, t - earliest, reason, waited_on,
+                 writer, hold)
+            )
+            for reg in inst.defs:
+                reg_writer[reg] = index
         for reg in inst.defs:
             reg_ready[reg] = completion
-        if inst.is_load and processor.blocking_loads:
-            # Conventional hardware: stall until the data returns.
-            interlock += completion - (t + 1)
-            next_free = completion
-        else:
-            next_free = t + 1
 
-    cycles = next_free
+    cycles = cycle + 1
     return BlockSimResult(
-        cycles=cycles, instructions=issued, interlock_cycles=interlock
+        cycles=cycles, instructions=issued, interlock_cycles=cycles - busy
     )
 
 
@@ -197,104 +252,6 @@ def _apply_blocking_windows(windows: List[Tuple[int, int]], t: int) -> int:
         # start after ``t``.  Prune once per call.
         del windows[:visited]
     return t
-
-
-def warn_blocking_ignored(processor: ProcessorModel, runs: int = 1) -> None:
-    """Warn that ``blocking_loads`` has no effect at ``issue_width > 1``.
-
-    The multi-issue paths (scalar and batch alike) have always modelled
-    non-blocking loads only -- no blocking superscalar machine exists in
-    the paper or the suite -- but used to do so silently.  Both engines
-    now route through this helper: a ``RuntimeWarning`` (deduplicated by
-    Python's default warning filter) plus a ``sim.feature_ignored``
-    counter so the gap is visible in metrics, mirroring the
-    ``sim.attribution_skipped`` convention.  See ``docs/performance.md``.
-    """
-    warnings.warn(
-        f"blocking_loads is ignored at issue_width > 1 "
-        f"(processor {processor.name}): the multi-issue engines model "
-        f"non-blocking loads only",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    rec = _obs.get()
-    if rec is not None:
-        rec.metrics.inc(
-            "sim.feature_ignored",
-            runs,
-            feature="blocking-loads",
-            reason="multi-issue",
-            processor=processor.name,
-        )
-
-
-def _simulate_superscalar(
-    instructions: Sequence[Instruction],
-    latencies: Sequence[int],
-    processor: ProcessorModel,
-) -> BlockSimResult:
-    """In-order multi-issue variant (Section 6 extension).
-
-    Up to ``issue_width`` instructions issue per cycle, in order; a
-    stalled instruction stalls everything behind it.  Interlock cycles
-    are reported as whole cycles in which nothing issued.
-    """
-    width = processor.issue_width
-    if processor.blocking_loads:
-        warn_blocking_ignored(processor)
-    reg_ready: Dict[Register, int] = {}
-    outstanding: List[int] = []
-    windows: List[Tuple[int, int]] = []
-    load_index = 0
-    cycle = 0
-    slots_used = 0
-    issued = 0
-    busy_cycles: set = set()
-
-    for inst in instructions:
-        if inst.opcode is Opcode.NOP:
-            continue
-        t = cycle
-        if slots_used >= width:
-            t = cycle + 1
-        for reg in inst.all_uses():
-            ready = reg_ready.get(reg, 0)
-            if ready > t:
-                t = ready
-        if inst.is_load:
-            latency = int(latencies[load_index])
-            load_index += 1
-            if processor.max_outstanding_loads is not None:
-                t = _wait_for_load_slot(
-                    outstanding, t, processor.max_outstanding_loads
-                )
-        else:
-            latency = inst.latency
-        if processor.max_load_cycles is not None:
-            t = _apply_blocking_windows(windows, t)
-
-        if t > cycle:
-            cycle, slots_used = t, 0
-        completion = cycle + latency
-        if inst.is_load:
-            if processor.max_outstanding_loads is not None:
-                heapq.heappush(outstanding, completion)
-            if (
-                processor.max_load_cycles is not None
-                and latency > processor.max_load_cycles
-            ):
-                windows.append((cycle + processor.max_load_cycles, completion))
-        for reg in inst.defs:
-            reg_ready[reg] = completion
-        busy_cycles.add(cycle)
-        slots_used += 1
-        issued += 1
-
-    total_cycles = cycle + 1 if issued else 0
-    interlock = total_cycles - len(busy_cycles)
-    return BlockSimResult(
-        cycles=total_cycles, instructions=issued, interlock_cycles=interlock
-    )
 
 
 def conflict_successors(
@@ -353,9 +310,7 @@ def _simulate_delaytrack(
     table = processor.load_delay_tracking or 0
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
-    blocking = processor.blocking_loads and width == 1
-    if processor.blocking_loads and width > 1:
-        warn_blocking_ignored(processor)
+    blocking = processor.blocking_loads
 
     steps = [
         (pos, inst)

@@ -1,38 +1,28 @@
 """Cycle-by-cycle execution traces and pipeline diagrams.
 
-:func:`trace_block` replays one execution of a block (same semantics
-as :func:`repro.simulate.simulator.simulate_block`) but records, per
-instruction, the issue cycle, completion cycle, stall length and the
-*reason* for the stall -- which register it waited on, or which
-processor constraint (MAX-n slot, LEN-n freeze) bit.  This is the tool
-for answering "where did the interlocks in this schedule come from?",
-and the ASCII renderer draws the classic pipeline occupancy diagram.
+:func:`trace_block` runs one execution of a block through the
+simulator's in-order engine and keeps its per-instruction record: the
+issue cycle, completion cycle, stall length and the *reason* for the
+stall -- which register it waited on, or which processor constraint
+(MAX-n slot, LEN-n freeze, blocking load) bit.  This is the tool for
+answering "where did the interlocks in this schedule come from?", and
+the ASCII renderer draws the classic pipeline occupancy diagram.
 
-The trace is validated against the simulator in the test suite: total
-cycles and interlocks always agree.
+Because the trace and :func:`repro.simulate.simulator.simulate_block`
+share one engine, total cycles and interlocks always agree.
 """
 
 from __future__ import annotations
 
-import enum
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..ir.block import BasicBlock
-from ..ir.instructions import Instruction, Opcode
+from ..ir.instructions import Instruction
 from ..ir.operands import Register
 from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel, UNLIMITED
-
-
-class StallReason(enum.Enum):
-    """Why an instruction issued later than the previous one + 1."""
-
-    NONE = "none"
-    OPERAND = "operand"        # waiting for a source register
-    LOAD_SLOTS = "load-slots"  # MAX-n: too many outstanding loads
-    FREEZE = "freeze"          # LEN-n: processor frozen by a long load
+from .simulator import StallReason, simulate_in_order
 
 
 @dataclass(frozen=True)
@@ -50,6 +40,9 @@ class TraceEntry:
     #: waited-on register (None for live-in registers).  This is what
     #: lets stall cycles be attributed back to individual loads.
     waited_on_writer: Optional[int] = None
+    #: Cycles a load on blocking hardware froze the processor after
+    #: issue, waiting for its own data (a BLOCKING stall charged to it).
+    hold: int = 0
 
     @property
     def latency(self) -> int:
@@ -64,22 +57,30 @@ class BlockTrace:
 
     @property
     def cycles(self) -> int:
-        return self.entries[-1].issue + 1 if self.entries else 0
+        """Last issue + 1, plus its hold when a blocking load ends it."""
+        if not self.entries:
+            return 0
+        last = self.entries[-1]
+        return last.issue + 1 + last.hold
 
     @property
     def interlock_cycles(self) -> int:
-        return sum(e.stall for e in self.entries)
+        return sum(e.stall + e.hold for e in self.entries)
 
     def stalls_by_reason(self) -> Dict[StallReason, int]:
         out: Dict[StallReason, int] = {}
         for entry in self.entries:
             if entry.stall:
                 out[entry.reason] = out.get(entry.reason, 0) + entry.stall
+            if entry.hold:
+                out[StallReason.BLOCKING] = (
+                    out.get(StallReason.BLOCKING, 0) + entry.hold
+                )
         return out
 
     def hottest(self, n: int = 3) -> List[TraceEntry]:
-        """The n longest individual stalls."""
-        return sorted(self.entries, key=lambda e: -e.stall)[:n]
+        """The n longest individual stalls (blocking holds included)."""
+        return sorted(self.entries, key=lambda e: -(e.stall + e.hold))[:n]
 
     def stalls_by_writer(self) -> Dict[Optional[int], int]:
         """Operand-stall cycles attributed to the writing instruction.
@@ -128,6 +129,7 @@ class BlockTrace:
                         str(e.waited_on) if e.waited_on is not None else None
                     ),
                     "waited_on_writer": e.waited_on_writer,
+                    "hold": e.hold,
                 }
                 for e in self.entries
             ],
@@ -162,6 +164,7 @@ class BlockTrace:
                     reason=StallReason(raw["reason"]),
                     waited_on=waited_on,
                     waited_on_writer=raw.get("waited_on_writer"),
+                    hold=raw.get("hold", 0),
                 )
             )
         return cls(entries=entries)
@@ -211,119 +214,27 @@ def trace_block(
     """Replay one execution, recording per-instruction timing.
 
     Single-issue only (the paper's model); latencies are supplied per
-    load in program order, as for ``simulate_block``.
+    load in program order, as for ``simulate_block``.  The timing is
+    :func:`~repro.simulate.simulator.simulate_in_order`'s own record.
     """
     if processor.issue_width != 1:
         raise ValueError("traces support single-issue processors only")
     if processor.load_delay_tracking:
-        # The in-order replay below would silently mis-time a reordering
+        # The in-order engine would silently mis-time a reordering
         # front end; the issue-order evidence for those lives in
         # simulator.delaytrack_issue_trace.
         raise ValueError(
             "traces model in-order issue only; delay-tracking processors "
             "reorder (use delaytrack_issue_trace for their issue order)"
         )
-
-    reg_ready: Dict[Register, int] = {}
-    reg_writer: Dict[Register, int] = {}
-    outstanding: List[int] = []
-    windows: List[Tuple[int, int]] = []
-    load_index = 0
-    next_free = 0
-    entries: List[TraceEntry] = []
-
-    for index, inst in enumerate(instructions):
-        if inst.opcode is Opcode.NOP:
-            continue
-
-        t = next_free
-        reason = StallReason.NONE
-        waited_on: Optional[Register] = None
-        for reg in inst.all_uses():
-            ready = reg_ready.get(reg, 0)
-            if ready > t:
-                t = ready
-                reason = StallReason.OPERAND
-                waited_on = reg
-
-        if inst.is_load:
-            latency = int(latencies[load_index])
-            load_index += 1
-            if processor.max_outstanding_loads is not None:
-                slot_time = _slot_time(
-                    outstanding, t, processor.max_outstanding_loads
-                )
-                if slot_time > t:
-                    t = slot_time
-                    reason = StallReason.LOAD_SLOTS
-                    waited_on = None
-        else:
-            latency = inst.latency
-
-        if processor.max_load_cycles is not None:
-            frozen = _frozen_until(windows, t)
-            if frozen > t:
-                t = frozen
-                reason = StallReason.FREEZE
-                waited_on = None
-
-        stall = t - next_free
-        completion = t + latency
-        # Resolve the writer before this instruction's own defs clobber
-        # the writer map (e.g. ``r1 = r1 + 1``).
-        writer = (
-            reg_writer.get(waited_on)
-            if stall and waited_on is not None
-            else None
-        )
-        if inst.is_load:
-            if processor.max_outstanding_loads is not None:
-                heapq.heappush(outstanding, completion)
-            if (
-                processor.max_load_cycles is not None
-                and latency > processor.max_load_cycles
-            ):
-                windows.append((t + processor.max_load_cycles, completion))
-        for reg in inst.defs:
-            reg_ready[reg] = completion
-            reg_writer[reg] = index
-
-        entries.append(
-            TraceEntry(
-                index=index,
-                instruction=inst,
-                issue=t,
-                completion=completion,
-                stall=stall,
-                reason=reason if stall else StallReason.NONE,
-                waited_on=waited_on if stall else None,
-                waited_on_writer=writer,
-            )
-        )
-        next_free = t + 1
-
-    return BlockTrace(entries=entries)
-
-
-def _slot_time(outstanding: List[int], t: int, limit: int) -> int:
-    while True:
-        while outstanding and outstanding[0] <= t:
-            heapq.heappop(outstanding)
-        if len(outstanding) < limit:
-            return t
-        t = outstanding[0]
-
-
-def _frozen_until(windows: List[Tuple[int, int]], t: int) -> int:
-    moved = True
-    while moved:
-        moved = False
-        for start, end in windows:
-            if start <= t < end:
-                t = end
-                moved = True
-    windows[:] = [(s, e) for s, e in windows if e > t]
-    return t
+    record: List[tuple] = []
+    simulate_in_order(instructions, latencies, processor, record)
+    return BlockTrace(
+        entries=[
+            TraceEntry(row[0], instructions[row[0]], *row[1:])
+            for row in record
+        ]
+    )
 
 
 def trace_with_memory(

@@ -75,9 +75,8 @@ from .oracle import check_compiled
 #: plus tight variants that actually bind on small fuzz blocks.  The
 #: superscalar draw crosses widths 2/4/8 with every memory-constraint
 #: family (the batch simulator's vectorized multi-issue kernel is
-#: checked against the scalar path like any other model; the BLOCKING
-#: cross pins that both paths ignore ``blocking_loads`` at width > 1,
-#: identically).
+#: checked against the scalar path like any other model; blocking
+#: loads are a single-issue model, so BLOCKING has no wide cross).
 FUZZ_PROCESSORS: Tuple[ProcessorModel, ...] = (
     UNLIMITED,
     MAX_8,
@@ -97,14 +96,11 @@ FUZZ_PROCESSORS: Tuple[ProcessorModel, ...] = (
         max_outstanding_loads=2,
         issue_width=8,
     ),
-    ProcessorModel("BLOCKINGx2", blocking_loads=True, issue_width=2),
     # Delay-tracking crosses: table sizes {1, 2, 4, 8} against widths
     # {1, 2, 4} and all four memory-constraint families.  A table of 1
     # binds on nearly every block; 8 saturates most fuzz blocks (the
-    # perfect-knowledge limit); the blocking crosses pin that a
-    # blocking machine is unchanged by tracking (width 1) and that the
-    # ignored-feature warning path stays scalar/batch identical
-    # (width 2).
+    # perfect-knowledge limit); the blocking cross pins that a
+    # blocking machine is unchanged by tracking.
     delay_tracking(1),
     delay_tracking(8),
     delay_tracking(2, ProcessorModel("MAX-2", max_outstanding_loads=2)),
@@ -118,9 +114,6 @@ FUZZ_PROCESSORS: Tuple[ProcessorModel, ...] = (
         max_load_cycles=3,
         max_outstanding_loads=2,
         issue_width=4,
-    )),
-    delay_tracking(4, ProcessorModel(
-        "BLOCKINGx2", blocking_loads=True, issue_width=2
     )),
 )
 

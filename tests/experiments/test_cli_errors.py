@@ -58,6 +58,10 @@ class TestBadInputsExitCleanly:
                 id="programs-wrong-experiment",
             ),
             pytest.param(["trace", "x.mf", "--memory", "BOGUS"], id="bad-memory"),
+            pytest.param(
+                ["trace", "x.mf", "--processor", "blockingx2"],
+                id="blocking-multi-issue",
+            ),
         ],
     )
     def test_exits_2_with_one_line_and_no_traceback(self, argv):

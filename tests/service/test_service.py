@@ -557,6 +557,16 @@ class TestRequestValidation:
         assert excinfo.value.status == 400
         assert "dt8turbo" in str(excinfo.value)
 
+    def test_blocking_multi_issue_spec_is_400(self, served):
+        """Blocking loads are a single-issue model; a wider blocking
+        spec is refused rather than silently simulated non-blocking."""
+        _, client = served
+        for spec in ("blockingx2", "blockingx2+dt4"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.simulate(processor=spec, **SIM_PAYLOAD)
+            assert excinfo.value.status == 400
+            assert "issue width 1 only" in str(excinfo.value)
+
     def test_unknown_program_is_400(self, served):
         _, client = served
         with pytest.raises(ServiceError) as excinfo:

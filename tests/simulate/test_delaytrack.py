@@ -17,8 +17,8 @@ implementation:
   reorder and the BLOCKING baseline is reproduced exactly;
 * empty / all-NOP / zero-run edges and malformed-input parity with the
   existing kernels, asserted before any fast path;
-* the ``blocking_loads``-at-``issue_width > 1`` gap warns instead of
-  staying silent, on both engines.
+* ``blocking_loads`` at ``issue_width > 1`` is rejected when the
+  processor is built, so no engine can silently ignore it.
 """
 
 import numpy as np
@@ -348,39 +348,18 @@ def test_model_family_and_parsing():
 
 
 # ----------------------------------------------------------------------
-# blocking_loads at issue_width > 1 warns on both engines
+# blocking_loads is a single-issue model: wider machines are rejected
 # ----------------------------------------------------------------------
-BLOCKING_X2 = ProcessorModel("BLOCKINGx2", blocking_loads=True, issue_width=2)
-
-
-@pytest.mark.parametrize(
-    "processor",
-    [BLOCKING_X2, delay_tracking(2, BLOCKING_X2)],
-    ids=lambda p: p.name,
-)
-def test_blocking_at_width_warns_scalar(processor):
-    block = _two_load_block()
-    with pytest.warns(RuntimeWarning, match="blocking_loads is ignored"):
-        simulate_block(block, [3, 4], processor)
-
-
-@pytest.mark.parametrize(
-    "processor",
-    [BLOCKING_X2, delay_tracking(2, BLOCKING_X2)],
-    ids=lambda p: p.name,
-)
-def test_blocking_at_width_warns_batch_and_counts(processor):
-    block = _two_load_block()
-    latencies = np.full((RUNS, 2), 3, dtype=np.int64)
-    with obs.recording() as rec:
-        with pytest.warns(RuntimeWarning, match="blocking_loads is ignored"):
-            simulate_block_batch(block, latencies, processor)
-    ignored = {
-        split_series_key(key)[1].get("feature"): value
-        for key, value in rec.metrics.counters.items()
-        if split_series_key(key)[0] == "sim.feature_ignored"
-    }
-    assert ignored == {"blocking-loads": RUNS}
+def test_blocking_at_width_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="issue width 1 only"):
+        ProcessorModel("BLOCKINGx2", blocking_loads=True, issue_width=2)
+    with pytest.raises(ValueError, match="issue width 1 only"):
+        superscalar(2, BLOCKING)
+    for spec in ("blockingx2", "blockingx2+dt4"):
+        with pytest.raises(ValueError, match="issue width 1 only"):
+            parse_processor(spec)
+    assert parse_processor("blockingx1") == BLOCKING
+    assert parse_processor("blocking+dt4") == delay_tracking(4, BLOCKING)
 
 
 def test_nonblocking_multi_issue_does_not_warn(recwarn):

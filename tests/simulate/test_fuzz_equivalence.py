@@ -21,6 +21,7 @@ from repro.core.pipeline import compile_program
 from repro.frontend import compile_minif
 from repro.frontend.printer import format_program_ast
 from repro.machine.processor import (
+    BLOCKING,
     LEN_8,
     MAX_8,
     ProcessorModel,
@@ -128,9 +129,8 @@ _ARTIFACT_SEED = 930601
 
 
 def _superscalar_processors(width):
-    """Every memory-constraint family at one issue width (BLOCKING
-    included: both simulators must agree to ignore ``blocking_loads``
-    at width > 1)."""
+    """Every memory-constraint family at one issue width (blocking
+    loads are a single-issue model, so BLOCKING has no wide variant)."""
     return (
         superscalar(width),
         superscalar(width, MAX_8),
@@ -140,9 +140,6 @@ def _superscalar_processors(width):
         ),
         ProcessorModel(
             f"LEN-3x{width}", max_load_cycles=3, issue_width=width
-        ),
-        ProcessorModel(
-            f"BLOCKINGx{width}", blocking_loads=True, issue_width=width
         ),
     )
 
@@ -237,9 +234,8 @@ DELAYTRACK_WIDTHS = (1, 2, 4)
 
 def _delaytrack_processors(width):
     """Tight and saturating tracking tables over every memory-constraint
-    family at one issue width (BLOCKING included: at width 1 a blocking
-    machine must be unchanged by tracking; at width > 1 both simulators
-    must agree to ignore ``blocking_loads``)."""
+    family at one issue width (BLOCKING at width 1 only, where a
+    blocking machine must be unchanged by tracking)."""
     base_width = superscalar(width) if width > 1 else None
     processors = []
     for table in (1, 8):
@@ -254,11 +250,9 @@ def _delaytrack_processors(width):
                 f"LEN-3x{width}" if width > 1 else "LEN-3",
                 max_load_cycles=3, issue_width=width,
             )),
-            delay_tracking(table, ProcessorModel(
-                f"BLOCKINGx{width}" if width > 1 else "BLOCKING",
-                blocking_loads=True, issue_width=width,
-            )),
         ))
+        if width == 1:
+            processors.append(delay_tracking(table, BLOCKING))
     return tuple(processors)
 
 

@@ -5,7 +5,14 @@ import pytest
 
 from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load, nop
-from repro.machine import LEN_8, MAX_8, NetworkMemory, UNLIMITED, superscalar
+from repro.machine import (
+    BLOCKING,
+    LEN_8,
+    MAX_8,
+    NetworkMemory,
+    UNLIMITED,
+    superscalar,
+)
 from repro.simulate import simulate_block
 from repro.simulate.trace import StallReason, trace_block, trace_with_memory
 from repro.workloads import figure1_block, load_program, random_block
@@ -37,7 +44,7 @@ class TestTraceAccounting:
             block = random_block(rng, n_instructions=25)
             n_loads = sum(1 for i in block if i.is_load)
             latencies = NetworkMemory(5, 5).sample_many(rng, n_loads)
-            for processor in (UNLIMITED, MAX_8, LEN_8):
+            for processor in (UNLIMITED, MAX_8, LEN_8, BLOCKING):
                 sim = simulate_block(block.instructions, latencies, processor)
                 trace = trace_block(block.instructions, latencies, processor)
                 assert trace.cycles == sim.cycles
@@ -54,6 +61,51 @@ class TestTraceAccounting:
             trace = trace_block(block.instructions, latencies, UNLIMITED)
             assert trace.cycles == sim.cycles
             assert trace.interlock_cycles == sim.interlock_cycles
+
+
+class TestBlockingTraces:
+    """A blocking load's wait is charged to that load, so trace totals
+    equal the simulator's even when the block ends in a load."""
+
+    def test_figure1_at_latency_5(self, figure1):
+        block, _ = figure1
+        n_loads = sum(1 for i in block if i.is_load)
+        trace = trace_block(block.instructions, [5] * n_loads, BLOCKING)
+        assert (trace.cycles, trace.interlock_cycles) == (15, 8)
+        assert trace.stalls_by_reason() == {StallReason.BLOCKING: 8}
+        assert [e.hold for e in trace.entries if e.instruction.is_load] == [
+            4, 4
+        ]
+
+    def test_lone_trailing_load(self):
+        block = [load(VirtualReg(0, RegClass.FP), A)]
+        trace = trace_block(block, [5], BLOCKING)
+        assert (trace.cycles, trace.interlock_cycles) == (5, 4)
+        (entry,) = trace.entries
+        assert (entry.issue, entry.stall, entry.hold) == (0, 0, 4)
+        assert trace.hottest(1) == [entry]
+
+    def test_operand_wait_before_a_blocking_load_keeps_its_reason(self):
+        # A two-cycle ALU result feeding a load's address: the load
+        # stalls one cycle on the operand, then holds for its data.
+        base = VirtualReg(7)
+        block = [
+            alu(Opcode.ADD, base, (), latency=2),
+            load(
+                VirtualReg(0, RegClass.FP),
+                MemRef(region="A", base=base, offset=0, affine_coeff=0),
+            ),
+        ]
+        trace = trace_block(block, [3], BLOCKING)
+        sim = simulate_block(block, [3], BLOCKING)
+        assert (trace.cycles, trace.interlock_cycles) == (
+            sim.cycles, sim.interlock_cycles
+        )
+        stalled = trace.entries[1]
+        assert (stalled.stall, stalled.reason, stalled.hold) == (
+            1, StallReason.OPERAND, 2
+        )
+        assert stalled.waited_on_writer == 0
 
 
 class TestStallAttribution:

@@ -11,7 +11,7 @@ import json
 
 from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.extensions.trace import form_trace, schedule_trace
-from repro.machine import LEN_8, MAX_8, NetworkMemory, UNLIMITED
+from repro.machine import BLOCKING, LEN_8, MAX_8, NetworkMemory, UNLIMITED
 from repro.simulate.trace import BlockTrace, StallReason, trace_block
 from repro.workloads import load_program, random_block
 
@@ -61,7 +61,7 @@ class TestSimulateTraceRoundTrip:
             block = random_block(rng, n_instructions=25)
             n_loads = sum(1 for i in block if i.is_load)
             latencies = NetworkMemory(8, 4).sample_many(rng, n_loads)
-            for processor in (UNLIMITED, MAX_8, LEN_8):
+            for processor in (UNLIMITED, MAX_8, LEN_8, BLOCKING):
                 trace = trace_block(block.instructions, latencies, processor)
                 reloaded = _round_trip(trace, block.instructions)
                 replay = trace_block(
@@ -83,6 +83,19 @@ class TestSimulateTraceRoundTrip:
             if e.reason is StallReason.OPERAND
         )
         assert sum(reloaded.stalls_by_writer().values()) == operand
+
+    def test_blocking_holds_survive_the_round_trip(self, rng):
+        block = _scheduled_suite_block()
+        n_loads = sum(1 for i in block if i.is_load)
+        latencies = NetworkMemory(30, 5).sample_many(rng, n_loads)
+        trace = trace_block(block.instructions, latencies, BLOCKING)
+        reloaded = _round_trip(trace, block.instructions)
+        assert reloaded.to_dict() == trace.to_dict()
+        assert reloaded.stalls_by_reason() == trace.stalls_by_reason()
+        assert StallReason.BLOCKING in reloaded.stalls_by_reason()
+        assert (reloaded.cycles, reloaded.interlock_cycles) == (
+            trace.cycles, trace.interlock_cycles
+        )
 
     def test_waited_on_registers_resolve_by_name(self, rng):
         block = _scheduled_suite_block()
