@@ -55,6 +55,10 @@ class Opcode(enum.Enum):
     # Pseudo.
     NOP = "nop"
 
+    # Members are singletons and compare by identity, so they can hash
+    # by identity too (Enum's default hashes the member name).
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"
 
@@ -163,11 +167,18 @@ class Instruction:
         """
         if self.is_terminator or other.is_terminator:
             return True
-        defs = set(self.defs)
-        if defs & set(other.defs) or defs & set(other.all_uses()):
-            return True
-        if set(self.all_uses()) & set(other.defs):
-            return True
+        # Tuple membership, not sets: an instruction names at most four
+        # registers.
+        other_defs = other.defs
+        if other_defs:
+            for reg in self.all_uses():
+                if reg in other_defs:
+                    return True
+        if self.defs:
+            other_regs = other_defs + other.all_uses()
+            for reg in self.defs:
+                if reg in other_regs:
+                    return True
         if self.mem is not None and other.mem is not None and (
             self.is_store or other.is_store
         ):

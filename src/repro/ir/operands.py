@@ -30,6 +30,10 @@ class RegClass(enum.Enum):
     INT = "int"
     FP = "fp"
 
+    # Members are singletons and compare by identity, so they can hash
+    # by identity too (Enum's default hashes the member name).
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RegClass.{self.name}"
 

@@ -20,7 +20,10 @@ fallback:
 * ``issue_width`` > 1 (the Section 6 superscalar extension), via
   :func:`_superscalar_kernel`: the per-run issue clock and the number
   of slots consumed in the current issue group become ``(runs,)``
-  vectors, composed with the same top-k and window machinery.
+  vectors, composed with the same top-k and window machinery;
+* ``load_delay_tracking`` (adaptive issue), via
+  :func:`_delaytrack_kernel`: a global event loop over ``(steps,
+  runs)`` state, with its own conflict matrix (:func:`_conflict_matrix`).
 
 Equivalence with the scalar simulator is enforced by the property
 tests ``tests/simulate/test_batch_equivalence.py`` and
@@ -39,7 +42,7 @@ import numpy as np
 from ..ir.instructions import Instruction, Opcode
 from ..machine.processor import ProcessorModel, UNLIMITED
 from ..obs import recorder as _obs
-from .simulator import LatencyOverrunError, conflict_successors
+from .simulator import LatencyOverrunError
 
 
 @dataclass(frozen=True)
@@ -150,18 +153,6 @@ class _WindowBuffer:
         else:
             self.starts = self.starts[keep]
             self.ends = self.ends[keep]
-
-
-def batch_native(processor: ProcessorModel) -> bool:
-    """Does :func:`simulate_block_batch` vectorize this model natively?
-
-    Always ``True`` since the superscalar kernel landed: every
-    processor model -- including ``issue_width > 1`` -- runs on a
-    vector path, and no scalar fallback remains.  Kept because the
-    verification fuzzer and older callers use it to label which path a
-    scalar/batch comparison exercised.
-    """
-    return True
 
 
 #: One step of the executed (non-NOP) sequence: ``(is_load, use
@@ -445,15 +436,14 @@ class _DTWindows:
         self.starts.append(start)
         self.ends.append(end)
 
-    def apply_mat(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Push a ``(..., k)`` matrix of probe times past every window,
-        without mutating buffer state.  ``idx`` names the run behind
-        each trailing-axis column."""
+    def apply_mat(self, t: np.ndarray) -> np.ndarray:
+        """Push a ``(runs, k)`` matrix of probe times past every window,
+        without mutating buffer state."""
         for start, end in zip(self.starts, self.ends):
-            s, f = start[idx], end[idx]
-            hit = (s <= t) & (t < f)
-            if hit.any():
-                t = np.where(hit, f, t)
+            start, end = start[:, None], end[:, None]
+            hit = (start <= t) & (t < end)
+            if np.count_nonzero(hit):
+                t = np.where(hit, end, t)
         return t
 
     def prune(self, now: np.ndarray) -> None:
@@ -467,6 +457,73 @@ class _DTWindows:
         if len(keep) != len(self.starts):
             self.starts = [self.starts[k] for k in keep]
             self.ends = [self.ends[k] for k in keep]
+
+
+def _conflict_matrix(
+    executed: Sequence[Instruction], steps: Sequence[_Step], n_regs: int
+) -> np.ndarray:
+    """The delay-tracking issue order as an ``(n, n)`` boolean matrix.
+
+    ``ordered[i, j]`` is set for every ``i < j`` whose issue must
+    precede ``j``'s: a register true, anti or output dependence (over
+    the dense rows of :func:`_index_steps`, so address-base registers
+    count), two memory accesses with a store among them (the issue
+    logic has no alias knowledge), or a terminator on either side.
+    The scalar engine
+    derives the same relation pairwise with
+    :func:`~repro.simulate.simulator.conflict_successors`, so the
+    differential fuzz checks one derivation against the other.
+    """
+    n = len(steps)
+    # 0/1 register rows as float32, so the products below run on BLAS
+    # (counts stay far below float32's exact-integer range).
+    uses = np.zeros((n, n_regs), dtype=np.float32)
+    defs = np.zeros((n, n_regs), dtype=np.float32)
+    uses[[j for j, s in enumerate(steps) for _ in s[1]],
+         [r for s in steps for r in s[1]]] = 1
+    defs[[j for j, s in enumerate(steps) for _ in s[2]],
+         [r for s in steps for r in s[2]]] = 1
+    # writes[a, b]: a defines a register that b reads or writes.
+    writes = (defs @ np.maximum(defs, uses).T) > 0
+    is_mem = np.array([inst.mem is not None for inst in executed], dtype=bool)
+    is_store = np.array([inst.is_store for inst in executed], dtype=bool)
+    is_term = np.array([inst.is_terminator for inst in executed], dtype=bool)
+    ordered = (
+        writes
+        | writes.T
+        | (np.outer(is_mem, is_mem) & (is_store[:, None] | is_store[None, :]))
+        | is_term[:, None]
+        | is_term[None, :]
+    )
+    return np.triu(ordered, 1)
+
+
+def _producers(steps: Sequence[_Step]) -> List[List[int]]:
+    """``result[j]``: the distinct steps whose results ``j`` reads.
+
+    For each register ``j`` uses, that is its latest writer before
+    ``j`` in program order.  Writers of one register issue in program
+    order (output dependence) and none after ``j`` can issue before it
+    (anti dependence), so when ``j`` is evaluated with every producer
+    issued, each operand's ready time is its producer's completion.
+    """
+    last_writer: dict = {}
+    producers: List[List[int]] = []
+    for j, (_, uses, defs, _) in enumerate(steps):
+        producers.append(sorted({
+            last_writer[r] for r in uses if r in last_writer
+        }))
+        for r in defs:
+            last_writer[r] = j
+    return producers
+
+
+def _padded(rows: Sequence[Sequence[int]], fill: int) -> np.ndarray:
+    """Ragged int rows as one ``(len(rows), widest)`` array (>= 1 wide)."""
+    out = np.full((len(rows), max(1, max(map(len, rows)))), fill, np.int64)
+    for k, row in enumerate(rows):
+        out[k, : len(row)] = row
+    return out
 
 
 def _delaytrack_kernel(
@@ -484,11 +541,18 @@ def _delaytrack_kernel(
     order* -- no single per-instruction sweep exists.  Instead the
     kernel runs a global step loop in which every unfinished run either
     parks head instructions, issues its best candidate, or advances its
-    evaluation clock to the next event; all per-run state (register
-    ready/tracked bits, park status, conflict counts, the tracking
-    table and the MAX-n/LEN-n machinery) is ``(n, runs)`` / ``(regs,
-    runs)`` arrays, and each step is a bounded number of vector
-    gathers/scatters over the unfinished runs.
+    evaluation clock to the next event.  Per-run state is ``(runs,
+    steps)`` arrays over every run (a finished run is masked out, not
+    gathered away); a run's entry for its head, or for the step it
+    issues, is one flat ``take``/``put`` at ``run * width + step``.
+
+    Operand state is kept per instruction, not per register: for each
+    step, the number of its producers (:func:`_producers`) not yet
+    issued, the latest producer completion, and the latest completion
+    among untracked producers.  An issue updates its consumers, so
+    judging the head -- computable, ready time, every in-flight operand
+    tracked -- is three gathers.  The ordering constraints come from
+    the kernel's own :func:`_conflict_matrix`.
 
     Per-run results are exactly the scalar simulator's: the two
     implementations share the event rule (advance to the earlier of
@@ -509,46 +573,51 @@ def _delaytrack_kernel(
         return BatchSimResult(cycles=zero, instructions=0, interlocks=zero.copy())
 
     # ------------------------------------------------------------------
-    # Static block structure.
+    # Static block structure.  Each run's row has ``w = n + 2`` slots:
+    # the ``n`` steps, slot ``n`` standing for "no head" (a run that
+    # has fetched everything: never computable, never a candidate) and
+    # slot ``n + 1``, which absorbs padded consumer writes and is never
+    # read.
     # ------------------------------------------------------------------
-    use_sent = n_regs          # always-zero row probed by padded uses
-    def_sent = n_regs + 1      # scratch row absorbing padded def writes
-    m = n_regs + 2
-    n_uses = max(1, max(len(s[1]) for s in steps))
-    n_defs = max(1, max(len(s[2]) for s in steps))
-    uses_pad = np.full((n, n_uses), use_sent, dtype=np.int64)
-    defs_pad = np.full((n, n_defs), def_sent, dtype=np.int64)
-    is_load = np.zeros(n, dtype=bool)
-    static_lat = np.zeros(n, dtype=np.int64)
-    load_col = np.zeros(n, dtype=np.int64)
-    col = 0
-    for j, (load_flag, uses, defs, lat) in enumerate(steps):
-        uses_pad[j, : len(uses)] = uses
-        defs_pad[j, : len(defs)] = defs
-        is_load[j] = load_flag
-        static_lat[j] = lat
-        if load_flag:
-            load_col[j] = col
-            col += 1
-    n_loads = col
-    is_term = np.array([inst.is_terminator for inst in executed], dtype=bool)
-    # conflict[j, i] = 1 for i < j whose issue must precede j's; column
-    # i is the +/- increment applied to ``blocked`` when i parks/issues.
-    conflict = np.zeros((n, n), dtype=np.int16)
-    for i, successors in enumerate(conflict_successors(executed)):
-        conflict[successors, i] = 1
+    w = n + 2
+    is_load = np.zeros(w, dtype=bool)
+    is_load[:n] = [s[0] for s in steps]
+    parkable = np.zeros(w, dtype=bool)
+    parkable[:n] = [not inst.is_terminator for inst in executed]
+    n_loads = int(np.count_nonzero(is_load))
+    # Per-run latency of every step: static, or the run's sampled one.
+    lat_of = np.zeros((runs, w), dtype=np.int64)
+    lat_of[:, :n] = [s[3] for s in steps]
+    lat_of[:, is_load] = latencies[:, :n_loads]
+    # successors[i, j] = 1 for j > i whose issue must follow i's: the
+    # +/- increment applied to a run's ``gate`` row when i parks/issues.
+    successors = np.zeros((w, w), dtype=np.int16)
+    successors[:n, :n] = _conflict_matrix(executed, steps, n_regs)
+    producers = _producers(steps)
+    consumers: List[List[int]] = [[] for _ in range(n)]
+    for j, prods in enumerate(producers):
+        for i in prods:
+            consumers[i].append(j)
+    prod_pad = _padded(producers, n)       # slot n of ``comp`` stays 0
+    cons_pad = _padded(consumers, n + 1)   # scratch slot
 
     # ------------------------------------------------------------------
     # Per-run machine state.
     # ------------------------------------------------------------------
-    PENDING, PARKED = 0, 1
     INF = np.iinfo(np.int64).max
-    reg_ready = np.zeros((m, runs), dtype=np.int64)
-    reg_tracked = np.zeros((m, runs), dtype=bool)
-    pending_writers = np.zeros((m, runs), dtype=np.int64)
-    status = np.full((n, runs), PENDING, dtype=np.uint8)
-    e_data = np.zeros((n, runs), dtype=np.int64)
-    blocked = np.zeros((n, runs), dtype=np.int64)
+    # ``gate`` is the number of parked conflict-predecessors still
+    # unissued, plus PEND until the step parks: a parked, unblocked
+    # step is exactly ``gate == 0``.  Issued steps go back to PEND
+    # (every conflict successor of theirs is already counted down).
+    PEND = np.int64(1) << 40
+    gate = np.full((runs, w), PEND, dtype=np.int64)
+    e_data = np.zeros((runs, w), dtype=np.int64)
+    unissued = np.zeros((runs, w), dtype=np.int64)
+    unissued[:, :n] = [len(p) for p in producers]
+    unissued[:, n] = 1
+    op_ready = np.zeros((runs, w), dtype=np.int64)
+    op_untracked = np.zeros((runs, w), dtype=np.int64)
+    comp = np.zeros((runs, w), dtype=np.int64)
     head = np.zeros(runs, dtype=np.int64)
     issued_count = np.zeros(runs, dtype=np.int64)
     next_free = np.zeros(runs, dtype=np.int64)
@@ -557,7 +626,9 @@ def _delaytrack_kernel(
     slots_used = np.zeros(runs, dtype=np.int64)
     busy = np.zeros(runs, dtype=np.int64)
     now = np.zeros(runs, dtype=np.int64)
-    seq = np.arange(n, dtype=np.int64)
+    base = np.arange(runs, dtype=np.int64) * w   # flat offset of each row
+    seq = np.arange(w, dtype=np.int64)
+    scale = np.int64(w)
 
     top = (
         np.zeros((max_out, runs), dtype=np.int64)
@@ -572,114 +643,89 @@ def _delaytrack_kernel(
     )
     windows = _DTWindows() if limit is not None else None
 
-    def head_view(idx: np.ndarray) -> tuple:
-        """Readiness of each listed run's head instruction: (computable,
-        ready time, per-use ready times, per-use in-flight mask)."""
-        h = head[idx]
-        rows = uses_pad[h]                       # (k, n_uses)
-        cols = idx[:, None]
-        computable = (pending_writers[rows, cols] == 0).all(axis=1)
-        rr = reg_ready[rows, cols]
-        ready = rr.max(axis=1)
-        in_flight = rr > now[idx][:, None]
-        return h, computable, ready, rr, in_flight
-
     while True:
-        act = np.nonzero(issued_count < n)[0]
-        if act.size == 0:
+        live = issued_count < n
+        if not np.count_nonzero(live):
             break
         if windows is not None:
             windows.prune(now)
 
         # ------------------------------------------------------------
         # Fetch/park: per run, park head instructions whose in-flight
-        # operands are all issued tracked loads.
+        # operands are all issued tracked loads.  The loop ends on a
+        # pass that parks nothing, so its last head view still holds
+        # for candidate selection below.
         # ------------------------------------------------------------
         while True:
-            can = act[head[act] < n]
-            if can.size == 0:
-                break
-            h, computable, ready, rr, in_flight = head_view(can)
-            tracked_ok = (
-                ~in_flight | reg_tracked[uses_pad[h], can[:, None]]
-            ).all(axis=1)
+            at = base + head
+            computable = unissued.take(at) == 0
+            ready = op_ready.take(at)
+            waiting = ready > now
             park = (
                 computable
-                & (ready > now[can])
-                & tracked_ok
-                & ~is_term[h]
+                & waiting
+                & (op_untracked.take(at) <= now)
+                & parkable[head]
             )
-            if not park.any():
+            if not np.count_nonzero(park):
                 break
-            sel = can[park]
-            hs = h[park]
-            status[hs, sel] = PARKED
-            e_data[hs, sel] = ready[park]
-            np.add.at(pending_writers, (defs_pad[hs], sel[:, None]), 1)
-            blocked[:, sel] += conflict[:, hs]
+            sel = park.nonzero()[0]
+            hs = head[sel]
+            at_sel = at[sel]
+            gate.put(at_sel, gate.take(at_sel) - PEND)
+            e_data.put(at_sel, ready[sel])
+            gate[sel] += successors[hs]
             head[sel] += 1
 
         # ------------------------------------------------------------
-        # Candidate selection: lexicographic (earliest issue, oldest).
+        # Candidate selection: lexicographic (earliest issue, oldest)
+        # over the parked, unblocked steps and each run's head.
         # ------------------------------------------------------------
-        probe = np.maximum(e_data[:, act], now[act][None, :])
+        cand = gate == 0
+        cand.put(at, computable & (gate.take(at) == PEND))
+        probe = np.maximum(e_data, now[:, None])
+        probe.put(at, np.maximum(ready, now))
         if top is not None:
-            probe[is_load] = np.maximum(probe[is_load], top[0][act][None, :])
+            probe[:, is_load] = np.maximum(probe[:, is_load], top[0][:, None])
         if windows is not None:
-            probe = windows.apply_mat(probe, act)
-        cand = (status[:, act] == PARKED) & (blocked[:, act] == 0)
-        key = np.where(
-            cand, probe * np.int64(n + 1) + seq[:, None], INF
-        )
-        best_key = key.min(axis=0)
-
-        head_event = np.full(act.size, INF, dtype=np.int64)
-        has_head = head[act] < n
-        if has_head.any():
-            can = act[has_head]
-            h, computable, ready, rr, in_flight = head_view(can)
-            eligible = computable & (blocked[h, can] == 0)
-            if eligible.any():
-                t = np.maximum(ready, now[can])
-                if top is not None:
-                    t = np.where(
-                        is_load[h], np.maximum(t, top[0][can]), t
-                    )
-                if windows is not None:
-                    t = windows.apply_mat(t, can)
-                head_key = np.where(
-                    eligible, t * np.int64(n + 1) + h, INF
-                )
-                best_key[has_head] = np.minimum(
-                    best_key[has_head], head_key
-                )
-            stalled = computable & (ready > now[can])
-            if stalled.any():
-                ev = np.where(in_flight, rr, INF).min(axis=1)
-                head_event[has_head] = np.where(stalled, ev, INF)
-
-        best_e = best_key // np.int64(n + 1)
-        best_j = best_key - best_e * np.int64(n + 1)
+            probe = windows.apply_mat(probe)
+        best_key = np.where(cand, probe * scale + seq, INF).min(axis=1)
+        best_e, best_j = np.divmod(best_key, scale)
 
         # ------------------------------------------------------------
-        # Issue where the best candidate is issuable now; elsewhere
-        # advance the clock to the next event and re-evaluate.
+        # Issue where the best candidate is issuable now (a finished
+        # run has no candidate, so its ``best_e`` is never ``now``);
+        # elsewhere advance the clock to the next event -- the earlier
+        # of that issue time and the stalled head's next operand
+        # arrival.  A run whose next event is strictly the issue time
+        # issues there in this same step: no operand arrives before
+        # it, so re-evaluating would park nothing and pick the same
+        # step at the same time.
         # ------------------------------------------------------------
-        issue = best_e == now[act]
-        adv = ~issue
-        if adv.any():
-            now[act[adv]] = np.minimum(best_e[adv], head_event[adv])
-        if not issue.any():
+        issue = best_e == now
+        adv = live & ~issue
+        if np.count_nonzero(adv):
+            stalled = computable & waiting
+            if np.count_nonzero(stalled):
+                rs = stalled.nonzero()[0]
+                arrivals = comp.take(base[rs, None] + prod_pad[head[rs]])
+                arrive = np.full(runs, INF, dtype=np.int64)
+                arrive[rs] = np.where(
+                    arrivals > now[rs, None], arrivals, INF
+                ).min(axis=1)
+                np.copyto(now, np.minimum(best_e, arrive), where=adv)
+                issue |= adv & (best_e < arrive)
+            else:
+                np.copyto(now, best_e, where=adv)
+                issue |= adv
+        if not np.count_nonzero(issue):
             continue
 
-        r = act[issue]
-        j = best_j[issue]
+        r = issue.nonzero()[0]
+        j = best_j[r]
         e = now[r]
-        lat = static_lat[j].copy()
-        lmask = is_load[j]
-        if lmask.any():
-            rl = r[lmask]
-            lat[lmask] = latencies[rl, load_col[j[lmask]]]
+        at_r = base[r] + j
+        lat = lat_of.take(at_r)
         completion = e + lat
 
         if width == 1:
@@ -691,8 +737,9 @@ def _delaytrack_kernel(
             slots_used[r] = np.where(advanced, 1, slots_used[r] + 1)
             cycle[r] = e
 
-        tracked = np.zeros(r.size, dtype=bool)
-        if lmask.any():
+        untracked = completion
+        lmask = is_load[j]
+        if np.count_nonzero(lmask):
             rl = r[lmask]
             comp_l = completion[lmask]
             if top is not None:
@@ -702,7 +749,7 @@ def _delaytrack_kernel(
                 top[:, rl] = np.sort(top[:, rl], axis=0)
             if windows is not None:
                 over = lat[lmask] > limit
-                if over.any():
+                if np.count_nonzero(over):
                     start = np.zeros(runs, dtype=np.int64)
                     end = np.zeros(runs, dtype=np.int64)
                     ro = rl[over]
@@ -710,31 +757,33 @@ def _delaytrack_kernel(
                     end[ro] = comp_l[over]
                     windows.push(start, end)
             if always_tracked:
-                tracked[lmask] = True
+                untracked = np.where(lmask, 0, completion)
             elif track_top is not None:
                 won = track_top[0, rl] <= e[lmask]
-                if won.any():
+                if np.count_nonzero(won):
                     rw = rl[won]
                     track_top[0, rw] = comp_l[won]
                     track_top[:, rw] = np.sort(track_top[:, rw], axis=0)
-                tracked[lmask] = won
+                    untracked = completion.copy()
+                    untracked[lmask.nonzero()[0][won]] = 0
             if blocking:
                 interlock[rl] += comp_l - (e[lmask] + 1)
                 next_free[rl] = comp_l
 
-        rows = defs_pad[j]
-        reg_ready[rows, r[:, None]] = completion[:, None]
-        reg_tracked[rows, r[:, None]] = tracked[:, None]
+        # Hand the result to every consumer.
+        comp.put(at_r, completion)
+        cons = base[r, None] + cons_pad[j]
+        unissued.put(cons, unissued.take(cons) - 1)
+        op_ready.put(cons, np.maximum(op_ready.take(cons), completion[:, None]))
+        op_untracked.put(
+            cons, np.maximum(op_untracked.take(cons), untracked[:, None])
+        )
 
-        was_parked = status[j, r] == PARKED
-        status[j, r] = 2
-        if was_parked.any():
-            jp = j[was_parked]
-            rp = r[was_parked]
-            np.add.at(pending_writers, (defs_pad[jp], rp[:, None]), -1)
-            blocked[:, rp] -= conflict[:, jp]
-        if (~was_parked).any():
-            head[r[~was_parked]] += 1
+        was_parked = j != head[r]
+        gate.put(at_r, PEND)
+        if np.count_nonzero(was_parked):
+            gate[r[was_parked]] -= successors[j[was_parked]]
+        head[r] += ~was_parked
         issued_count[r] += 1
         if width == 1:
             now[r] = next_free[r]

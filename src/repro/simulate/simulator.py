@@ -263,8 +263,11 @@ def conflict_successors(
     ``i``'s: register dependences (true, anti and output), memory pairs
     involving a store (no compile-time alias knowledge -- the hardware
     assumes any two references may overlap) and block terminators.
-    Shared by the scalar and batch delay-tracking engines and restated
-    independently by the verification oracle.
+    The scalar delay-tracking engine's derivation, pairwise through
+    :meth:`Instruction.conflicts_with`.  The batch kernel builds its own
+    from dense register rows (``repro.simulate.batch._conflict_matrix``)
+    and the verification oracle restates the rule independently, so
+    the three check one another.
     """
     succ: List[List[int]] = [[] for _ in instructions]
     for j, inst_j in enumerate(instructions):

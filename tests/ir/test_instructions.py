@@ -1,6 +1,8 @@
 """Unit tests for IR instructions and their constructors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import (
     Instruction,
@@ -15,6 +17,9 @@ from repro.ir import (
     nop,
     store,
 )
+from repro.verify.oracle import oracle_may_alias
+
+from tests.ir.strategies import instructions
 
 A0 = MemRef(region="A", base=VirtualReg(0), offset=0)
 
@@ -110,3 +115,40 @@ class TestConstructors:
     def test_str_contains_opcode(self):
         assert "load" in str(load(VirtualReg(1), A0))
         assert "spill" in str(load(VirtualReg(1), A0, tag="spill"))
+
+
+def _set_conflicts(a, b, may_alias=None):
+    """``conflicts_with`` restated over register sets."""
+    if a.is_terminator or b.is_terminator:
+        return True
+    defs_a, defs_b = set(a.defs), set(b.defs)
+    if defs_a & (defs_b | set(b.all_uses())) or set(a.all_uses()) & defs_b:
+        return True
+    if a.mem is not None and b.mem is not None and (a.is_store or b.is_store):
+        return True if may_alias is None else bool(may_alias(a.mem, b.mem))
+    return False
+
+
+class TestConflictsWith:
+    ALIAS_PREDICATES = (
+        None,
+        lambda x, y: x.region == y.region,
+        lambda x, y: oracle_may_alias(x, y, "fortran"),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(instructions, instructions, st.sampled_from(ALIAS_PREDICATES))
+    def test_matches_a_set_based_restatement(self, a, b, may_alias):
+        assert a.conflicts_with(b, may_alias) == _set_conflicts(a, b, may_alias)
+        assert b.conflicts_with(a, may_alias) == _set_conflicts(b, a, may_alias)
+
+    def test_register_dependences(self):
+        v0, v1, v2 = VirtualReg(0), VirtualReg(1), VirtualReg(2)
+        add = alu(Opcode.ADD, v2, (v0, v1))
+        assert add.conflicts_with(alu(Opcode.ADD, v0, (v2,)))   # true
+        assert alu(Opcode.ADD, v0, (v2,)).conflicts_with(add)   # anti
+        assert add.conflicts_with(li(v2, 1))                    # output
+        assert add.conflicts_with(load(VirtualReg(5), MemRef("A", base=v2)))
+        assert not add.conflicts_with(alu(Opcode.ADD, VirtualReg(3), (v0, v1)))
+        fp = alu(Opcode.FADD, VirtualReg(2, RegClass.FP), (v0,))
+        assert not add.conflicts_with(fp)

@@ -1,8 +1,22 @@
 """Unit tests for IR operands."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
-from repro.ir import Immediate, MemRef, PhysReg, RegClass, VirtualReg, is_register
+import repro
+from repro.ir import (
+    Immediate,
+    MemRef,
+    Opcode,
+    PhysReg,
+    RegClass,
+    VirtualReg,
+    is_register,
+)
 
 
 class TestVirtualReg:
@@ -78,3 +92,58 @@ def test_is_register():
     assert is_register(PhysReg(0))
     assert not is_register(Immediate(1))
     assert not is_register(MemRef(region="A"))
+
+
+#: Keys built fresh on each side of a pickle round trip.  ``Opcode``
+#: and ``RegClass`` hash by identity, which differs between processes,
+#: so every container must be rebuilt (re-hashed) where it is loaded.
+_KEYS_SOURCE = """[
+    VirtualReg(3), VirtualReg(3, RegClass.FP), PhysReg(2),
+    PhysReg(2, RegClass.FP), PhysReg(2, is_spill_pool=True), Opcode.LOAD,
+    Opcode.FMA, RegClass.INT,
+]"""
+
+_CHILD = f"""
+import pickle, sys
+from repro.ir import Opcode, PhysReg, RegClass, VirtualReg
+keys = {_KEYS_SOURCE}
+as_set, as_dict = pickle.loads(sys.stdin.buffer.read())
+assert all(k in as_set for k in keys), "set membership lost"
+assert all(as_dict[k] == i for i, k in enumerate(keys)), "dict lookup lost"
+assert VirtualReg(3, RegClass.INT) in as_set and Opcode.LOAD in as_dict
+sys.stdout.buffer.write(pickle.dumps((set(keys), {{k: -i for i, k in enumerate(keys)}})))
+"""
+
+
+def test_pickle_round_trip_keeps_set_and_dict_membership():
+    """What pool workers do: containers of registers and opcodes cross
+    a process boundary and come back, and lookups by freshly built keys
+    still hit on both sides."""
+    keys = eval(_KEYS_SOURCE)
+    assert len(set(keys)) == len(keys)
+    # In-process round trip.
+    as_set, as_dict = pickle.loads(pickle.dumps(
+        (set(keys), {k: i for i, k in enumerate(keys)})
+    ))
+    fresh = eval(_KEYS_SOURCE)
+    assert all(k in as_set for k in fresh)
+    assert [as_dict[k] for k in fresh] == list(range(len(keys)))
+    assert pickle.loads(pickle.dumps(Opcode.FMA)) is Opcode.FMA
+    assert pickle.loads(pickle.dumps(RegClass.FP)) is RegClass.FP
+    # Across a process boundary, both ways.
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src_dir, env.get("PYTHONPATH")))
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=pickle.dumps((as_set, as_dict)),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    back_set, back_dict = pickle.loads(child.stdout)
+    assert all(k in back_set for k in fresh)
+    assert [back_dict[k] for k in fresh] == [-i for i in range(len(keys))]
